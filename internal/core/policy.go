@@ -26,6 +26,8 @@ type Policy interface {
 	// PlanFetch maps a legitimate fault on an enclave-managed page to the
 	// set of pages to fetch (it must include va). Returning an error means
 	// the fault is never legitimate under this policy — treat as attack.
+	// The returned slice is only read until the fetch completes, so it may
+	// be scratch the policy or runtime reuses on the next fault.
 	PlanFetch(r *Runtime, va mmu.VAddr) ([]mmu.VAddr, error)
 	// PickVictims chooses at least min(need, available) resident non-pinned
 	// enclave-managed pages to evict under memory pressure.
@@ -122,7 +124,7 @@ func (p *RateLimitPolicy) PlanFetch(r *Runtime, va mmu.VAddr) ([]mmu.VAddr, erro
 	if err := p.admit(r, va); err != nil {
 		return nil, err
 	}
-	return []mmu.VAddr{va}, nil
+	return r.onePage(va), nil
 }
 
 // PickVictims implements Policy with FIFO over resident non-pinned pages.
@@ -193,6 +195,12 @@ func (p *ClusterPolicy) PlanFetch(r *Runtime, va mmu.VAddr) ([]mmu.VAddr, error)
 // leak. Evicting whole clusters (even sharing pages) is always safe
 // (§5.2.3).
 func (p *ClusterPolicy) PickVictims(r *Runtime, need int) []mmu.VAddr {
+	return p.pickVictims(r, need, r.nextFIFOVictims)
+}
+
+// pickVictims is PickVictims over an explicit FIFO victim source, so tests
+// can check the runtime's queue against a reference implementation.
+func (p *ClusterPolicy) pickVictims(r *Runtime, need int, nextFIFO func(n int) []mmu.VAddr) []mmu.VAddr {
 	var out []mmu.VAddr
 	seen := make(map[uint64]struct{})
 	addResident := func(vpn uint64) {
@@ -231,7 +239,7 @@ func (p *ClusterPolicy) PickVictims(r *Runtime, need int) []mmu.VAddr {
 		}
 	}
 	for len(out) < need {
-		candidates := r.nextFIFOVictims(1)
+		candidates := nextFIFO(1)
 		if len(candidates) == 0 {
 			break
 		}

@@ -33,6 +33,7 @@ type pageInfo struct {
 	pinned   bool // never evicted (code, handler, metadata pages)
 	perms    mmu.Perms
 	version  uint64 // SGXv2 software-path anti-replay counter
+	queued   int    // entries naming this page in the runtime's FIFO queue
 }
 
 // Runtime is the Autarky self-paging runtime: the sgx.Runtime installed at
@@ -66,7 +67,17 @@ type Runtime struct {
 	pages   map[uint64]*pageInfo
 	// fifo orders resident non-pinned enclave-managed pages for the default
 	// eviction policies (A/D bits are architecturally unusable, §5.1.4).
-	fifo []uint64
+	// The live queue is fifo[fifoHead:]; popping advances fifoHead.
+	//
+	// An entry goes stale when its page stops being a valid victim
+	// (evicted, pinned, released, found swapped out) other than by being
+	// popped. fifoStale records that some queued page may have: until then
+	// every entry is a valid victim and nextFIFOVictims pops from the head;
+	// after it, the next call sweeps the whole queue once, dropping what is
+	// stale at that moment, exactly as if every call swept.
+	fifo      []uint64
+	fifoHead  int
+	fifoStale bool
 
 	// scratch holds the reusable buffers of the hot paging paths. Each
 	// field is owned by exactly one function and valid only within one call;
@@ -84,6 +95,7 @@ type Runtime struct {
 		batch   []pagestore.PageBlob // evictSGX2: EvictBatch input
 		arena   []byte               // evictSGX2: sealed-blob arena
 		page    []byte               // evictSGX2: plaintext page snapshot
+		one     [1]mmu.VAddr         // onePage: single-page fetch plans
 	}
 
 	progress uint64 // application-reported forward progress (§5.2.4)
@@ -142,11 +154,14 @@ func (r *Runtime) ManagePages(pages []mmu.VAddr, perms mmu.Perms, pinned bool) e
 			pi = &pageInfo{va: st.VA.PageBase()}
 			r.pages[vpn] = pi
 		}
+		if !st.Resident || pinned {
+			r.unqueue(pi)
+		}
 		pi.resident = st.Resident
 		pi.pinned = pinned
 		pi.perms = perms
 		if st.Resident && !pinned {
-			r.fifo = append(r.fifo, vpn)
+			r.enqueue(pi)
 		}
 	}
 	return nil
@@ -166,9 +181,12 @@ func (r *Runtime) RefreshResidence(pages []mmu.VAddr) error {
 			return fmt.Errorf("core: RefreshResidence of unmanaged page %s", st.VA)
 		}
 		wasResident := pi.resident
+		if !st.Resident {
+			r.unqueue(pi)
+		}
 		pi.resident = st.Resident
 		if st.Resident && !wasResident && !pi.pinned {
-			r.fifo = append(r.fifo, st.VA.VPN())
+			r.enqueue(pi)
 		}
 	}
 	return nil
@@ -219,7 +237,10 @@ func (r *Runtime) ReleasePages(pages []mmu.VAddr) error {
 		return err
 	}
 	for _, va := range pages {
-		delete(r.pages, va.VPN())
+		if pi := r.pages[va.VPN()]; pi != nil {
+			r.unqueue(pi)
+			delete(r.pages, va.VPN())
+		}
 	}
 	return nil
 }
@@ -294,7 +315,7 @@ func (r *Runtime) handleFault(f mmu.Fault) {
 		if err := r.Policy.OnOSFault(r, va); err != nil {
 			r.CPU.Terminate(sgx.TerminateRateLimit, err.Error())
 		}
-		if err := r.Driver.FetchPages(r.enclave, []mmu.VAddr{va}); err != nil {
+		if err := r.Driver.FetchPages(r.enclave, r.onePage(va)); err != nil {
 			r.terminateFetch(err, "OS failed to service forwarded fault: ")
 		}
 		return
@@ -412,7 +433,7 @@ func (r *Runtime) fetchPages(pages []mmu.VAddr) error {
 		pi := r.pages[va.VPN()]
 		pi.resident = true
 		if !pi.pinned {
-			r.fifo = append(r.fifo, va.VPN())
+			r.enqueue(pi)
 		}
 		r.Stats.FetchedPages++
 		r.m.Inc(metrics.CntPagesFetched)
@@ -448,7 +469,9 @@ func (r *Runtime) evictPages(pages []mmu.VAddr) error {
 		return err
 	}
 	for _, va := range out {
-		r.pages[va.VPN()].resident = false
+		pi := r.pages[va.VPN()]
+		r.unqueue(pi)
+		pi.resident = false
 		r.Stats.EvictedPages++
 		r.m.Inc(metrics.CntPagesEvicted)
 	}
@@ -456,15 +479,78 @@ func (r *Runtime) evictPages(pages []mmu.VAddr) error {
 	return nil
 }
 
+// onePage returns va as a one-page fetch set in runtime scratch, so the
+// single-page fault paths build no slice per fault. The result is valid
+// until the next onePage call.
+func (r *Runtime) onePage(va mmu.VAddr) []mmu.VAddr {
+	r.scratch.one[0] = va
+	return r.scratch.one[:]
+}
+
+// enqueue appends a page that just became a valid victim (resident and
+// not pinned) at the FIFO tail. The queue's dead head is reclaimed once it
+// is at least half the slice, so appends stay amortized O(1) and, once the
+// slice has grown to the working set, allocation-free.
+func (r *Runtime) enqueue(pi *pageInfo) {
+	if len(r.fifo) == cap(r.fifo) && r.fifoHead > 0 && r.fifoHead >= len(r.fifo)/2 {
+		r.fifo = r.fifo[:copy(r.fifo, r.fifo[r.fifoHead:])]
+		r.fifoHead = 0
+	}
+	r.fifo = append(r.fifo, pi.va.VPN())
+	pi.queued++
+}
+
+// unqueue notes that a page is about to stop being a valid victim other
+// than by being popped. If queue entries still name it they are now stale,
+// and the next nextFIFOVictims call must sweep.
+func (r *Runtime) unqueue(pi *pageInfo) {
+	if pi.queued > 0 {
+		r.fifoStale = true
+	}
+}
+
 // nextFIFOVictims returns up to n resident, non-pinned pages in FIFO order,
-// compacting stale queue entries as it goes. It is the shared victim source
-// for the demand and rate-limited policies. The returned slice is runtime
-// scratch, valid until the next call.
+// removing them from the queue. It is the shared victim source for the
+// demand and rate-limited policies. The returned slice is runtime scratch,
+// valid until the next call.
+//
+// While no queued page has gone stale every entry is a valid victim, so the
+// victims are the first n entries and the call costs O(n). Otherwise it
+// sweeps the whole queue once, dropping every entry that is stale at this
+// moment, and clears the mark.
 func (r *Runtime) nextFIFOVictims(n int) []mmu.VAddr {
 	out := r.scratch.victims[:0]
-	defer func() { r.scratch.victims = out }()
+	if r.fifoStale {
+		out = r.sweepFIFO(out, n)
+	} else {
+		for r.fifoHead < len(r.fifo) && len(out) < n {
+			pi := r.pages[r.fifo[r.fifoHead]]
+			r.fifoHead++
+			pi.queued--
+			out = append(out, pi.va)
+		}
+		if r.fifoHead == len(r.fifo) {
+			r.fifo, r.fifoHead = r.fifo[:0], 0
+		}
+	}
+	r.scratch.victims = out
+	return out
+}
+
+// sweepFIFO is nextFIFOVictims over a queue that may hold stale entries: it
+// appends up to n valid victims to out in queue order, compacts the valid
+// remainder to the front of the slice and recounts every tracked page's
+// queued entries (a page released and managed again is a new pageInfo that
+// inherits the old one's entries).
+func (r *Runtime) sweepFIFO(out []mmu.VAddr, n int) []mmu.VAddr {
+	q := r.fifo[r.fifoHead:]
+	for _, vpn := range q {
+		if pi := r.pages[vpn]; pi != nil {
+			pi.queued = 0
+		}
+	}
 	keep := r.fifo[:0]
-	for i, vpn := range r.fifo {
+	for _, vpn := range q {
 		pi := r.pages[vpn]
 		if pi == nil || !pi.resident || pi.pinned {
 			continue // stale entry
@@ -472,9 +558,10 @@ func (r *Runtime) nextFIFOVictims(n int) []mmu.VAddr {
 		if len(out) < n {
 			out = append(out, pi.va)
 		} else {
-			keep = append(keep, r.fifo[i])
+			keep = append(keep, vpn)
+			pi.queued++
 		}
 	}
-	r.fifo = keep
+	r.fifo, r.fifoHead, r.fifoStale = keep, 0, false
 	return out
 }

@@ -198,11 +198,14 @@ type Backend struct {
 	clock *sim.Clock
 	meter *metrics.Metrics
 
-	// history archives every blob evicted through this layer, in arrival
-	// order — the attacker's copy of the traffic, used to serve replays.
+	// archived is the attacker's copy of the traffic, used to serve
+	// replays: per page, the first blob evicted through this layer and
+	// whether a newer one followed. A replay only ever serves the oldest
+	// blob, and only once a newer one exists, so that is all the archive
+	// keeps — its size is bounded by the pages seen, not the evictions.
 	// Only maintained when the plan can actually replay (PReplay > 0): an
 	// archive no decision ever reads is pure overhead.
-	history map[faultKey][]pagestore.Blob
+	archived map[faultKey]*archivedBlob
 
 	// outageUntil is the cycle at which the current sustained outage ends
 	// (see Plan.OutageCycles). It evolves deterministically from the call
@@ -218,6 +221,12 @@ type faultKey struct {
 	vpn       uint64
 }
 
+// archivedBlob is one page's entry in the replay archive.
+type archivedBlob struct {
+	oldest pagestore.Blob
+	newer  bool // a blob was evicted after oldest
+}
+
 var _ pagestore.PagingBackend = (*Backend)(nil)
 
 // NewBackend wraps inner with the plan's faults. The plan must validate.
@@ -226,11 +235,11 @@ func NewBackend(inner pagestore.PagingBackend, plan Plan, clock *sim.Clock) *Bac
 		panic(err)
 	}
 	return &Backend{
-		inner:   inner,
-		plan:    plan,
-		clock:   clock,
-		meter:   metrics.Of(clock),
-		history: make(map[faultKey][]pagestore.Blob),
+		inner:    inner,
+		plan:     plan,
+		clock:    clock,
+		meter:    metrics.Of(clock),
+		archived: make(map[faultKey]*archivedBlob),
 	}
 }
 
@@ -352,30 +361,33 @@ func (f *Backend) mangle(kind Kind, enclaveID uint64, va mmu.VAddr, b pagestore.
 		cut := 1 + mix(f.plan.Seed, 0x7c, f.clock.Cycles(), enclaveID, va.VPN())%uint64(len(b.Ciphertext))
 		return pagestore.Blob{Ciphertext: b.Ciphertext[:uint64(len(b.Ciphertext))-cut], Version: b.Version, EnclaveID: b.EnclaveID}
 	case KindReplay:
-		hist := f.history[faultKey{enclaveID, va.VPN()}]
-		if len(hist) < 2 {
+		a := f.archived[faultKey{enclaveID, va.VPN()}]
+		if a == nil || !a.newer {
 			return b // nothing older to replay; fault fizzles
 		}
 		f.count(KindReplay)
-		return hist[0]
+		return a.oldest
 	}
 	return b
 }
 
-// archive snapshots an evicted blob into the attacker's copy of the
-// traffic. The snapshot copies the ciphertext — evict-side buffers belong
-// to the caller only for the duration of the call — and is skipped entirely
-// when the plan never replays: KindReplay is the only reader of the
-// history, so an unreplayed archive is unobservable.
+// archive records an evicted blob in the attacker's copy of the traffic.
+// A page's first blob is copied — evict-side buffers belong to the caller
+// only for the duration of the call — and every later one only sets the
+// newer mark. Archiving is skipped entirely when the plan never replays:
+// KindReplay is the only reader of the archive, so an unreplayed archive is
+// unobservable.
 func (f *Backend) archive(enclaveID uint64, va mmu.VAddr, b pagestore.Blob) {
 	if f.plan.PReplay == 0 {
 		return
 	}
-	ct := make([]byte, len(b.Ciphertext))
-	copy(ct, b.Ciphertext)
-	b.Ciphertext = ct
 	k := faultKey{enclaveID, va.VPN()}
-	f.history[k] = append(f.history[k], b)
+	if a := f.archived[k]; a != nil {
+		a.newer = true
+		return
+	}
+	b.Ciphertext = append(make([]byte, 0, len(b.Ciphertext)), b.Ciphertext...)
+	f.archived[k] = &archivedBlob{oldest: b}
 }
 
 // count bumps the per-kind and total injection counters.

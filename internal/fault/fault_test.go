@@ -174,3 +174,40 @@ func TestMangleCorruptTruncateReplay(t *testing.T) {
 		t.Error("mangle mutated the caller's blob")
 	}
 }
+
+// TestArchiveBoundedPerPage evicts one page many times under a replaying
+// plan and checks the replay archive retains the same bytes after every
+// eviction from the second on — the first blob only — while a replay still
+// serves that first blob.
+func TestArchiveBoundedPerPage(t *testing.T) {
+	const enclaveID = 1
+	va := mmu.VAddr(0x5000)
+	clock := sim.NewClock()
+	f := NewBackend(pagestore.NewStore(), Plan{Seed: 3, PReplay: 0.2}, clock)
+	retained := func() int {
+		n := 0
+		for _, a := range f.archived {
+			n += cap(a.oldest.Ciphertext)
+		}
+		return n
+	}
+	first := seal(t, enclaveID, va, 1, 0x01)
+	if err := f.Evict(enclaveID, va, first); err != nil {
+		t.Fatal(err)
+	}
+	want := retained()
+	if want == 0 {
+		t.Fatal("a replaying plan archived nothing")
+	}
+	for v := uint64(2); v <= 64; v++ {
+		if err := f.Evict(enclaveID, va, seal(t, enclaveID, va, v, byte(v))); err != nil {
+			t.Fatal(err)
+		}
+		if got := retained(); got != want {
+			t.Fatalf("after %d evictions of one page the archive retains %d bytes, want %d", v, got, want)
+		}
+	}
+	if got := f.mangle(KindReplay, enclaveID, va, pagestore.Blob{}); !bytes.Equal(got.Ciphertext, first.Ciphertext) {
+		t.Fatal("replay did not serve the first archived blob")
+	}
+}

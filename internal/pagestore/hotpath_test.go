@@ -49,6 +49,46 @@ func TestSealOpenAppendZeroAlloc(t *testing.T) {
 	}
 }
 
+// newStoreCycle returns one steady-state paging cycle over a store page
+// that has been evicted twice, so its slot already owns both its archived
+// blob and its working buffer: evict a fresh blob, fetch it back, drop it.
+func newStoreCycle(tb testing.TB) func() {
+	s, err := NewSealer(secret, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	va := mmu.VAddr(0x7000)
+	blob, err := s.Seal(va, 1, page(0x5A))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st := NewStore()
+	st.Put(1, va, blob)
+	st.Put(1, va, blob)
+	return func() {
+		if err := st.Evict(1, va, blob); err != nil {
+			tb.Fatal(err)
+		}
+		got, err := st.Fetch(1, va)
+		if err != nil || len(got.Ciphertext) != len(blob.Ciphertext) {
+			tb.Fatalf("fetch: %v", err)
+		}
+		if err := st.Drop(1, va); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestStoreEvictFetchDropZeroAlloc gates the plain store's paging cycle on
+// an existing slot — the EWB/ELDU backing-store traffic — at zero heap
+// allocations: every eviction after a page's second reuses its buffer.
+func TestStoreEvictFetchDropZeroAlloc(t *testing.T) {
+	cycle := newStoreCycle(t)
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("Store Evict/Fetch/Drop on an existing slot allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // TestOpenAppendOutputDoesNotAliasScratch verifies that the plaintext
 // OpenAppend returns lives only in the caller's dst: a later call on the
 // same Sealer (whose nonce/AAD scratch is reused) must not mutate an
@@ -191,5 +231,17 @@ func BenchmarkOpenAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 		buf = p[:0]
+	}
+}
+
+// BenchmarkStoreEvictFetch measures one Evict/Fetch/Drop cycle of a sealed
+// page through the plain store, the backing-store side of EWB/ELDU.
+func BenchmarkStoreEvictFetch(b *testing.B) {
+	cycle := newStoreCycle(b)
+	b.ReportAllocs()
+	b.SetBytes(mmu.PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }

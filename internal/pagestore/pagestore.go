@@ -231,12 +231,31 @@ func (s *Sealer) Open(va mmu.VAddr, expectVersion uint64, b Blob) ([]byte, error
 // Store is the untrusted in-regular-memory repository of sealed pages, keyed
 // by (enclave, page). Being untrusted, it offers mutation hooks (Corrupt,
 // Replay) that attack tests use to verify the trusted side rejects bad blobs.
+//
+// Each page owns one slot for the life of the store, so memory is bounded
+// by the number of pages ever evicted, not by how many times they were: a
+// slot holds the current blob, the attacker's archived copy of the page's
+// first blob, and one reusable buffer that every later Put overwrites.
 type Store struct {
-	blobs map[storeKey]Blob
-	// history snapshots every blob the store has ever seen — the store is
-	// attacker-controlled memory, and an attacker copies blobs as they
-	// arrive — so replay attacks can be expressed even across deletes.
-	history map[storeKey][]Blob
+	slots map[storeKey]*slot
+	n     int // slots with a current blob (what Len reports)
+}
+
+// slot is one page's state in the store. It exists from the page's first
+// Put onwards; Delete only clears present, keeping both buffers for reuse.
+type slot struct {
+	cur     Blob // current blob; valid only while present
+	present bool
+	// archived is the first blob ever stored for the page, kept for the
+	// life of the store — the attacker copies blobs as they arrive — so a
+	// replay can be staged even across deletes. Replay only ever needs the
+	// oldest blob and whether a newer one exists, so that is all the
+	// archive keeps: archived, plus the newer mark.
+	archived Blob
+	newer    bool
+	// buf is the slot's working buffer. It never aliases archived, which
+	// is what lets Put overwrite it in place.
+	buf []byte
 }
 
 type storeKey struct {
@@ -246,69 +265,87 @@ type storeKey struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{
-		blobs:   make(map[storeKey]Blob),
-		history: make(map[storeKey][]Blob),
-	}
+	return &Store{slots: make(map[storeKey]*slot)}
 }
 
 func key(enclaveID uint64, va mmu.VAddr) storeKey {
 	return storeKey{enclaveID: enclaveID, vpn: va.VPN()}
 }
 
-// Put stores the sealed blob for a page, snapshotting it into the
-// attacker's archive. The ciphertext is copied once (shared by the current
-// slot and the archive): per the PagingBackend ownership contract, the
-// caller's buffer is only valid for the duration of the call.
+// Put stores the sealed blob for a page. Per the PagingBackend ownership
+// contract the caller's buffer is only valid for the duration of the call,
+// so the ciphertext is copied: a page's first blob into a fresh buffer
+// shared by the current blob and the archive, every later one into the
+// slot's working buffer, overwriting the previous contents in place.
 func (st *Store) Put(enclaveID uint64, va mmu.VAddr, b Blob) {
 	k := key(enclaveID, va)
-	ct := make([]byte, len(b.Ciphertext))
-	copy(ct, b.Ciphertext)
-	b.Ciphertext = ct
-	st.history[k] = append(st.history[k], b)
-	st.blobs[k] = b
+	s := st.slots[k]
+	if s == nil {
+		b.Ciphertext = append(make([]byte, 0, len(b.Ciphertext)), b.Ciphertext...)
+		st.slots[k] = &slot{cur: b, present: true, archived: b}
+		st.n++
+		return
+	}
+	s.buf = append(s.buf[:0], b.Ciphertext...)
+	b.Ciphertext = s.buf
+	s.cur = b
+	s.newer = true
+	if !s.present {
+		s.present = true
+		st.n++
+	}
 }
 
-// Get returns the current blob for a page.
+// Get returns the current blob for a page. The ciphertext is a view of the
+// slot and is overwritten by the page's next Put.
 func (st *Store) Get(enclaveID uint64, va mmu.VAddr) (Blob, error) {
-	b, ok := st.blobs[key(enclaveID, va)]
-	if !ok {
+	s := st.slots[key(enclaveID, va)]
+	if s == nil || !s.present {
 		return Blob{}, ErrNotFound
 	}
-	return b, nil
+	return s.cur, nil
 }
 
-// Delete removes the blob for a page (after a successful page-in).
+// Delete removes the blob for a page (after a successful page-in). The
+// slot keeps its buffers for the page's next eviction.
 func (st *Store) Delete(enclaveID uint64, va mmu.VAddr) {
-	delete(st.blobs, key(enclaveID, va))
+	if s := st.slots[key(enclaveID, va)]; s != nil && s.present {
+		s.present = false
+		st.n--
+	}
 }
 
 // Len reports how many pages are currently swapped out across all enclaves.
-func (st *Store) Len() int { return len(st.blobs) }
+func (st *Store) Len() int { return st.n }
 
 // Corrupt flips a byte of the stored ciphertext — an active attack on the
-// backing store. Reports whether a blob existed.
+// backing store. The archived blob is never touched: a current blob that
+// shares the archive's buffer is first copied into the working buffer.
+// Reports whether a blob existed.
 func (st *Store) Corrupt(enclaveID uint64, va mmu.VAddr) bool {
-	k := key(enclaveID, va)
-	b, ok := st.blobs[k]
-	if !ok || len(b.Ciphertext) == 0 {
+	s := st.slots[key(enclaveID, va)]
+	if s == nil || !s.present || len(s.cur.Ciphertext) == 0 {
 		return false
 	}
-	ct := make([]byte, len(b.Ciphertext))
-	copy(ct, b.Ciphertext)
-	ct[0] ^= 0xff
-	st.blobs[k] = Blob{Ciphertext: ct, Version: b.Version, EnclaveID: b.EnclaveID}
+	s.buf = append(s.buf[:0], s.cur.Ciphertext...)
+	s.buf[0] ^= 0xff
+	s.cur.Ciphertext = s.buf
 	return true
 }
 
 // Replay replaces the current blob with the oldest archived one — the
-// classic rollback attack. Reports whether an older archived blob existed.
+// classic rollback attack — restoring it even if the page was deleted.
+// Reports whether an older archived blob existed, that is, whether the page
+// was stored at least twice.
 func (st *Store) Replay(enclaveID uint64, va mmu.VAddr) bool {
-	k := key(enclaveID, va)
-	hist := st.history[k]
-	if len(hist) < 2 {
+	s := st.slots[key(enclaveID, va)]
+	if s == nil || !s.newer {
 		return false
 	}
-	st.blobs[k] = hist[0]
+	s.cur = s.archived
+	if !s.present {
+		s.present = true
+		st.n++
+	}
 	return true
 }

@@ -3,6 +3,7 @@ package pagestore
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -139,9 +140,21 @@ func TestStoreReplayAttackDetected(t *testing.T) {
 
 func TestStoreReplayWithoutHistory(t *testing.T) {
 	st := NewStore()
+	if st.Replay(1, 0x1000) {
+		t.Fatal("replay of a never-stored page succeeded")
+	}
 	st.Put(1, 0x1000, Blob{Ciphertext: []byte{1}})
 	if st.Replay(1, 0x1000) {
 		t.Fatal("replay succeeded with no archived blob")
+	}
+	// Exactly one Put, then a drop: still nothing older to replay, and the
+	// failed replay must not resurrect the page.
+	st.Delete(1, 0x1000)
+	if st.Replay(1, 0x1000) {
+		t.Fatal("replay succeeded after exactly one Put")
+	}
+	if st.Len() != 0 {
+		t.Fatalf("Len = %d after a failed replay of a dropped page, want 0", st.Len())
 	}
 }
 
@@ -227,5 +240,90 @@ func TestSealOpenProperty(t *testing.T) {
 		return err == nil && bytes.Equal(got, page(fill))
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestStoreReplayAfterDrop(t *testing.T) {
+	st := NewStore()
+	v1 := Blob{Ciphertext: []byte{1, 1}, Version: 1}
+	st.Put(1, 0x1000, v1)
+	st.Put(1, 0x1000, Blob{Ciphertext: []byte{2, 2}, Version: 2})
+	st.Delete(1, 0x1000)
+	if st.Len() != 0 {
+		t.Fatalf("Len after drop = %d, want 0", st.Len())
+	}
+	// The archive outlives the drop: the attacker re-plants the oldest blob.
+	if !st.Replay(1, 0x1000) {
+		t.Fatal("replay of a dropped page found no archive")
+	}
+	got, err := st.Get(1, 0x1000)
+	if err != nil || got.Version != 1 || !bytes.Equal(got.Ciphertext, v1.Ciphertext) {
+		t.Fatalf("replayed blob = %+v, %v; want the first blob", got, err)
+	}
+	if st.Len() != 1 {
+		t.Fatalf("Len after replaying a dropped page = %d, want 1", st.Len())
+	}
+}
+
+func TestStoreReplayAfterCorrupt(t *testing.T) {
+	s, _ := NewSealer(secret, 1)
+	v1, _ := s.Seal(0x1000, 1, page(1))
+	v2, _ := s.Seal(0x1000, 2, page(2))
+	st := NewStore()
+	// The first blob is the archive, and the current blob shares its
+	// buffer: corrupting the current blob must leave the archive pristine.
+	st.Put(1, 0x1000, v1)
+	if !st.Corrupt(1, 0x1000) {
+		t.Fatal("corrupt failed")
+	}
+	st.Put(1, 0x1000, v2)
+	if !st.Corrupt(1, 0x1000) {
+		t.Fatal("corrupt failed")
+	}
+	if !st.Replay(1, 0x1000) {
+		t.Fatal("replay found no archive")
+	}
+	got, _ := st.Get(1, 0x1000)
+	if plain, err := s.Open(0x1000, 1, got); err != nil || !bytes.Equal(plain, page(1)) {
+		t.Fatalf("archived blob damaged by Corrupt: %v", err)
+	}
+	// Corrupting the replayed blob works on a copy too.
+	if !st.Corrupt(1, 0x1000) || !st.Replay(1, 0x1000) {
+		t.Fatal("corrupt/replay of a replayed blob failed")
+	}
+	got, _ = st.Get(1, 0x1000)
+	if _, err := s.Open(0x1000, 1, got); err != nil {
+		t.Fatalf("archived blob damaged by Corrupt of a replayed blob: %v", err)
+	}
+}
+
+// TestStoreRetentionBoundedPerPage evicts one page many times and checks
+// the store's retained heap does not grow with the eviction count: a page
+// costs its current blob and its archived first blob, however often it is
+// evicted.
+func TestStoreRetentionBoundedPerPage(t *testing.T) {
+	s, _ := NewSealer(secret, 1)
+	blob, _ := s.Seal(0x1000, 1, page(7))
+	st := NewStore()
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	evict := func(n int) {
+		for i := 0; i < n; i++ {
+			st.Put(1, 0x1000, blob)
+			st.Delete(1, 0x1000)
+		}
+	}
+	evict(16)
+	before := heap()
+	const n = 2048 // an archive of every blob would retain ~8 MB
+	evict(n)
+	after := heap()
+	runtime.KeepAlive(st)
+	if after > before && after-before > 64<<10 {
+		t.Fatalf("retained heap grew by %d bytes over %d evictions of one page", after-before, n)
 	}
 }
