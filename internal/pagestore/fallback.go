@@ -21,12 +21,21 @@ import (
 // counted in CntBackendFallbacks. A fetch also falls back on ErrNotFound:
 // when the primary was unavailable at eviction time, the only copy of the
 // blob lives in the mirror.
+//
+// A page whose latest eviction reached the mirror only is remembered as
+// mirror-only until a later eviction reaches the primary or the page is
+// dropped: the primary may still hold an older blob for it, which would
+// fail its freshness check upstream, so its fetches are served by the
+// mirror. The primary is still asked first, exactly as for any other page,
+// so the primary's operation sequence — and with it every fault-plan roll —
+// is what it would be without the mark; only its answer is discarded.
 type FallbackBackend struct {
-	primary   PagingBackend
-	secondary PagingBackend
-	clock     *sim.Clock
-	costs     sim.Costs
-	meter     *metrics.Metrics
+	primary    PagingBackend
+	secondary  PagingBackend
+	clock      *sim.Clock
+	costs      sim.Costs
+	meter      *metrics.Metrics
+	mirrorOnly map[storeKey]bool
 }
 
 var _ PagingBackend = (*FallbackBackend)(nil)
@@ -34,11 +43,12 @@ var _ PagingBackend = (*FallbackBackend)(nil)
 // NewFallbackBackend layers the degraded-mode mirror over primary.
 func NewFallbackBackend(primary, secondary PagingBackend, clock *sim.Clock, costs sim.Costs) *FallbackBackend {
 	return &FallbackBackend{
-		primary:   primary,
-		secondary: secondary,
-		clock:     clock,
-		costs:     costs,
-		meter:     metrics.Of(clock),
+		primary:    primary,
+		secondary:  secondary,
+		clock:      clock,
+		costs:      costs,
+		meter:      metrics.Of(clock),
+		mirrorOnly: make(map[storeKey]bool),
 	}
 }
 
@@ -64,23 +74,32 @@ func (fb *FallbackBackend) Evict(enclaveID uint64, va mmu.VAddr, b Blob) error {
 	if err := fb.primary.Evict(enclaveID, va, b); err != nil {
 		if errors.Is(err, ErrUnavailable) {
 			fb.meter.Inc(metrics.CntBackendFallbacks)
+			fb.mirrorOnly[key(enclaveID, va)] = true
 			return nil
 		}
 		return err
 	}
+	delete(fb.mirrorOnly, key(enclaveID, va))
 	return nil
 }
 
-// Fetch implements PagingBackend: primary first, mirror on outage or on a
-// blob the primary never received.
+// Fetch implements PagingBackend: primary first, mirror on outage, on a
+// blob the primary never received, or for a mirror-only page.
 func (fb *FallbackBackend) Fetch(enclaveID uint64, va mmu.VAddr) (Blob, error) {
 	b, err := fb.primary.Fetch(enclaveID, va)
-	if err == nil {
+	switch {
+	case fb.mirrorOnly[key(enclaveID, va)]:
+		// Whatever the primary answered is older than the mirror's blob.
+	case err == nil:
 		return b, nil
-	}
-	if !fallsBack(err) {
+	case !fallsBack(err):
 		return Blob{}, err
 	}
+	return fb.fetchMirror(enclaveID, va)
+}
+
+// fetchMirror serves one page from the mirror, counting the fallback.
+func (fb *FallbackBackend) fetchMirror(enclaveID uint64, va mmu.VAddr) (Blob, error) {
 	fb.meter.Inc(metrics.CntBackendFallbacks)
 	fb.clock.ChargeAs(sim.CatPaging, fb.costs.BlobCopy)
 	return fb.secondary.Fetch(enclaveID, va)
@@ -95,6 +114,7 @@ func (fb *FallbackBackend) Drop(enclaveID uint64, va mmu.VAddr) error {
 	if err := fb.primary.Drop(enclaveID, va); err != nil && !fallsBack(err) {
 		return err
 	}
+	delete(fb.mirrorOnly, key(enclaveID, va))
 	return nil
 }
 
@@ -108,10 +128,18 @@ func (fb *FallbackBackend) EvictBatch(enclaveID uint64, pages []PageBlob) error 
 	}
 	if err := fb.primary.EvictBatch(enclaveID, pages); err != nil {
 		if errors.Is(err, ErrUnavailable) {
+			// The primary may have stored part of the batch; the mirror
+			// holds all of it, so every page is served from there.
 			fb.meter.Inc(metrics.CntBackendFallbacks)
+			for _, pb := range pages {
+				fb.mirrorOnly[key(enclaveID, pb.VA)] = true
+			}
 			return nil
 		}
 		return err
+	}
+	for _, pb := range pages {
+		delete(fb.mirrorOnly, key(enclaveID, pb.VA))
 	}
 	return nil
 }
@@ -125,6 +153,19 @@ func (fb *FallbackBackend) EvictBatch(enclaveID uint64, pages []PageBlob) error 
 func (fb *FallbackBackend) FetchBatch(enclaveID uint64, pages []mmu.VAddr, out []Blob) error {
 	err := fb.primary.FetchBatch(enclaveID, pages, out)
 	if err == nil {
+		if len(fb.mirrorOnly) == 0 {
+			return nil
+		}
+		for i, va := range pages {
+			if !fb.mirrorOnly[key(enclaveID, va)] {
+				continue
+			}
+			b, ferr := fb.fetchMirror(enclaveID, va)
+			if ferr != nil {
+				return wrapBlobErr(ferr, "fetch", enclaveID, va)
+			}
+			out[i] = b
+		}
 		return nil
 	}
 	if !fallsBack(err) {
