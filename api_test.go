@@ -157,14 +157,10 @@ func TestMachineMetrics(t *testing.T) {
 	}
 }
 
-// TestOptionNames locks the construction options: the redesigned names and
-// the compatibility alias must configure the same machine.
+// TestOptionNames locks the construction options: WithTLBGeometry must
+// configure the machine's TLB.
 func TestOptionNames(t *testing.T) {
 	a := NewMachine(WithTLBGeometry(8, 2), WithEPCFrames(256))
-	b := NewMachine(WithTLB(8, 2), WithEPCFrames(256))
-	if a.TLB.Sets() != b.TLB.Sets() || a.TLB.Ways() != b.TLB.Ways() {
-		t.Fatal("WithTLB alias diverges from WithTLBGeometry")
-	}
 	if a.TLB.Sets() != 8 || a.TLB.Ways() != 2 {
 		t.Fatalf("TLB geometry not applied: %dx%d", a.TLB.Sets(), a.TLB.Ways())
 	}

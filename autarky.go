@@ -152,9 +152,8 @@ const (
 // PageSize is the architectural page size (4 KiB).
 const PageSize = mmu.PageSize
 
-// DefaultBase is the ELRANGE base the loader uses when Config.Base is zero
-// under LoadApp, and the first auto-placed slot under Spawn. Pass it (or
-// any explicit base) to co-locate enclaves at identical layouts.
+// DefaultBase is the first auto-placed ELRANGE slot under Spawn. Pass it
+// (or any explicit base) to co-locate enclaves at identical layouts.
 const DefaultBase = libos.DefaultBase
 
 // Machine is one simulated host: CPU, MMU, EPC, untrusted kernel and
@@ -178,7 +177,7 @@ type Machine struct {
 	nextBase    mmu.VAddr
 
 	// optErr records the first WithXxx option rejection; machine
-	// construction cannot fail, so the first Spawn/LoadApp/Serve/Restore
+	// construction cannot fail, so the first Spawn/Serve/Restore
 	// surfaces it (always a *ConfigError matching ErrBadConfig).
 	optErr error
 }
@@ -215,10 +214,6 @@ func WithEPCFrames(n int) Option { return func(c *machineConfig) { c.epcFrames =
 func WithTLBGeometry(sets, ways int) Option {
 	return func(c *machineConfig) { c.tlbSets, c.tlbWays = sets, ways }
 }
-
-// WithTLB is the original name of WithTLBGeometry, kept as an alias so
-// existing callers compile unchanged.
-func WithTLB(sets, ways int) Option { return WithTLBGeometry(sets, ways) }
 
 // WithCosts overrides the calibrated cycle cost model.
 func WithCosts(costs sim.Costs) Option { return func(c *machineConfig) { c.costs = costs } }
@@ -346,20 +341,6 @@ func NewMachine(opts ...Option) *Machine {
 		nextBase:    libos.DefaultBase,
 		optErr:      optErr,
 	}
-}
-
-// LoadApp loads an application image as an enclave under the given
-// configuration. The returned Process runs directly on the machine
-// (Process.Run), bypassing the scheduler, so only one LoadApp process can
-// meaningfully execute per machine.
-//
-// Deprecated: use Spawn, which places any number of co-resident enclaves
-// and schedules them; Proc.Run is a drop-in replacement for Process.Run.
-func (m *Machine) LoadApp(img AppImage, cfg Config) (*Process, error) {
-	if m.optErr != nil {
-		return nil, m.optErr
-	}
-	return libos.Load(m.Kernel, m.Clock, m.Costs, img, cfg)
 }
 
 // Cycles reports the machine's logical time.

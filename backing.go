@@ -98,7 +98,7 @@ func ORAMBacking(slots int, inner *BackingStore) *BackingStore {
 // the default plain blob store. Invalid stacks — unknown kinds, non-positive
 // layer sizes, layers under a plain terminator, or absurd nesting — are
 // reported as a *ConfigError (errors.Is(err, ErrBadConfig)) from the first
-// Spawn or LoadApp, because machine construction itself cannot fail.
+// Spawn, because machine construction itself cannot fail.
 //
 //	m := autarky.NewMachine(autarky.WithBackingStore(
 //		autarky.CachedBacking(64, autarky.ORAMBacking(512, nil))))

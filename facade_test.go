@@ -12,7 +12,7 @@ func TestMachineOptions(t *testing.T) {
 	costs.EENTER = 1
 	m := NewMachine(
 		WithEPCFrames(128),
-		WithTLB(8, 2),
+		WithTLBGeometry(8, 2),
 		WithCosts(costs),
 		WithRootSecret([]byte("custom")),
 	)

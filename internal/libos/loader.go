@@ -111,15 +111,14 @@ type Process struct {
 	grown    int
 	handlers []namedHandler
 
-	// Migration scratch (see migrate.go): the quiesce hot path captures,
-	// encodes and seals into these reused buffers so repeated migrations of
-	// a long-lived process allocate nothing once warm.
-	migPages   []byte
-	migPageVAs []uint64
-	migVPNs    []uint64
-	migPlain   []byte
-	migSealed  []byte
-	migCapture func(*core.Context)
+	// Sealed-state scratch (see state.go): checkpoints and the quiesce hot
+	// path capture and encode into these reused buffers, so repeated seals
+	// of a long-lived process allocate only the envelope once warm.
+	statePages   []byte
+	stateVAs     []uint64
+	stateVPNs    []uint64
+	statePlain   []byte
+	stateCapture func(*core.Context)
 }
 
 // Enclave returns the underlying enclave.

@@ -1,6 +1,10 @@
 package libos
 
-import "testing"
+import (
+	"testing"
+
+	"autarky/internal/sgx"
+)
 
 // BenchmarkMigrationSeal measures the steady-state quiesce hot path —
 // encode the captured pages and seal the envelope into warm scratch
@@ -14,14 +18,15 @@ func BenchmarkMigrationSeal(b *testing.B) {
 	}
 	epoch := p.Proc.E.MigrationEpoch() + 1
 	meas := p.Proc.E.Measurement()
+	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.migPlain = p.encodeMigration(p.migPlain[:0])
-		sealed, err := k.CPU.SealMigrationAppend(p.migSealed[:0], epoch, meas, p.migPlain)
+		p.statePlain = p.encodeState(p.statePlain[:0])
+		sealed, err := k.CPU.SealState(buf[:0], sgx.MigrationKey, epoch, meas, p.statePlain)
 		if err != nil {
 			b.Fatal(err)
 		}
-		p.migSealed = sealed
+		buf = sealed
 	}
 }

@@ -289,36 +289,67 @@ func TestAdoptFailureLeaksNoEPC(t *testing.T) {
 	}
 }
 
+// TestSealedStateCrossKindMisuse pins the key separation the shared
+// envelope framing relies on: a checkpoint blob is never adoptable and a
+// migration envelope is never restorable — both refuse with the checkpoint
+// sentinel — and neither refusal advances the counter service, so the
+// genuine envelope still adopts afterwards.
+func TestSealedStateCrossKindMisuse(t *testing.T) {
+	srcK, srcClock, srcCosts := newMigKernel(2048)
+	src := runMigrant(t, srcK, srcClock, srcCosts)
+	meas := src.Proc.E.Measurement()
+	cp, err := src.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mig, err := src.Migrate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := sgx.NewCounterService()
+
+	k, clock, costs := newMigKernel(2048)
+	if _, err := Adopt(k, clock, costs, &Migration{Sealed: cp.Sealed}, counters); !errors.Is(err, sgx.ErrBadCheckpoint) {
+		t.Fatalf("Adopt of a checkpoint blob: %v, want ErrBadCheckpoint", err)
+	}
+	if _, err := Restore(k, clock, costs, &Checkpoint{Sealed: mig.Sealed}); !errors.Is(err, sgx.ErrBadCheckpoint) {
+		t.Fatalf("Restore of a migration envelope: %v, want ErrBadCheckpoint", err)
+	}
+	if got := counters.Committed(meas); got != 0 {
+		t.Fatalf("refused cross-kind use advanced the counter to %d", got)
+	}
+	if _, err := Adopt(k, clock, costs, mig, counters); err != nil {
+		t.Fatalf("genuine envelope refused after cross-kind misuse: %v", err)
+	}
+	if got := counters.Committed(meas); got != 1 {
+		t.Fatalf("counter at %d after the genuine adopt, want 1", got)
+	}
+}
+
 // TestMigrationEncodeDeterministic: identical state must encode to
 // identical bytes (the version table is explicitly sorted), or fleet runs
 // could diverge across -jobs orderings.
 func TestMigrationEncodeDeterministic(t *testing.T) {
 	k, clock, costs := newMigKernel(2048)
 	p := runMigrant(t, k, clock, costs)
-	if p.migCapture == nil {
-		p.migCapture = p.captureWritable
-	}
-	if err := p.Run(p.migCapture); err != nil {
+	if err := p.Run(p.captureWritable); err != nil {
 		t.Fatal(err)
 	}
-	a := p.encodeMigration(nil)
-	b := p.encodeMigration(nil)
+	a := p.encodeState(nil)
+	b := p.encodeState(nil)
 	if !bytes.Equal(a, b) {
 		t.Fatal("same state encoded to different bytes")
 	}
-	// And the codec round-trips.
-	payload, err := decodeMigration(a)
+	// And the codec round-trips through the defensive decoder.
+	payload, err := decodeState(a)
 	if err != nil {
 		t.Fatalf("decode of genuine payload: %v", err)
 	}
 	if payload.Progress != p.Runtime.Progress() {
 		t.Fatalf("round-trip progress %d, want %d", payload.Progress, p.Runtime.Progress())
 	}
-	if len(payload.Pages) != len(p.migPageVAs) {
-		t.Fatalf("round-trip pages %d, want %d", len(payload.Pages), len(p.migPageVAs))
-	}
-	if err := validatePayload(payload); err != nil {
-		t.Fatalf("genuine payload failed validation: %v", err)
+	if len(payload.Pages) != len(p.stateVAs) {
+		t.Fatalf("round-trip pages %d, want %d", len(payload.Pages), len(p.stateVAs))
 	}
 }
 
@@ -332,14 +363,15 @@ func TestMigrationSealZeroAlloc(t *testing.T) {
 	if err := p.Run(p.captureWritable); err != nil {
 		t.Fatal(err)
 	}
+	var buf []byte
 	encodeAndSeal := func() {
-		p.migPlain = p.encodeMigration(p.migPlain[:0])
-		sealed, err := k.CPU.SealMigrationAppend(p.migSealed[:0],
-			p.Proc.E.MigrationEpoch()+1, p.Proc.E.Measurement(), p.migPlain)
+		p.statePlain = p.encodeState(p.statePlain[:0])
+		sealed, err := k.CPU.SealState(buf[:0], sgx.MigrationKey,
+			p.Proc.E.MigrationEpoch()+1, p.Proc.E.Measurement(), p.statePlain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.migSealed = sealed
+		buf = sealed
 	}
 	encodeAndSeal() // warm the scratch buffers and the cached AEAD
 	if allocs := testing.AllocsPerRun(100, encodeAndSeal); allocs != 0 {

@@ -19,9 +19,8 @@ import "autarky/internal/mmu"
 //     ordering, no wall-clock, no global state.
 //   - Cycle accounting: every cycle a backend charges must go through
 //     Clock.ChargeAs / ChargeAmbient / a SetCategory scope so attribution
-//     stays exact (tools/metriclint rejects naked Clock.Advance inside
-//     Evict/Fetch paths). A backend that models free in-RAM storage (the
-//     plain Store) charges nothing.
+//     stays exact. A backend that models free in-RAM storage (the plain
+//     Store) charges nothing.
 //   - Blobs are opaque: a backend never inspects or re-keys ciphertext; the
 //     sealing layer alone guarantees confidentiality, integrity and
 //     freshness. A backend that loses or reorders blobs is indistinguishable

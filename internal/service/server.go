@@ -29,7 +29,7 @@
 // it charges a poll and — when the Idle hook is wired to the machine
 // scheduler — yields its slice, so co-resident tenants run instead of
 // watching one enclave busy-wait. Every cycle on the hot path is charged
-// explicitly (the package is metriclint-instrumented); all randomness comes
+// explicitly to a category; all randomness comes
 // from seeded sim.Rand and the stateless fault plan, so a serving run is
 // byte-identical at any worker count.
 package service

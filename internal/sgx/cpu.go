@@ -68,19 +68,19 @@ type CPU struct {
 	rootSecret    []byte
 	nextEnclaveID uint64
 	enclaves      map[uint64]*Enclave
-	// instanceSalt tags quotes from this platform boot so enclave
-	// instances are distinguishable across machines/reboots (§3 restart
-	// detection).
+	// instanceSalt tags quotes and sealed-state nonces from this platform
+	// boot, so enclave instances are distinguishable across
+	// machines/reboots (§3 restart detection) and machines sharing a root
+	// secret never reuse a nonce.
 	instanceSalt uint64
-	// checkpointSeq numbers sealed checkpoints for nonce uniqueness.
-	checkpointSeq uint64
 
-	// Migration sealing state (see migrate.go): the cached AEAD keeps the
-	// quiesce hot path allocation-free, migrationSeq numbers envelopes for
-	// nonce uniqueness, and migAAD is the reused additional-data scratch.
-	migAEAD      cipher.AEAD
-	migrationSeq uint64
-	migAAD       []byte
+	// Sealed-state sealing (see sealed.go), per StateKey: the cached AEADs
+	// keep the quiesce hot path allocation-free, sealSeq numbers envelopes
+	// for nonce uniqueness, and sealAAD is the reused additional-data
+	// scratch.
+	sealAEAD [numStateKeys]cipher.AEAD
+	sealSeq  [numStateKeys]uint64
+	sealAAD  []byte
 
 	cur    *Enclave
 	curTCS *TCS

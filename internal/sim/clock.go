@@ -123,16 +123,6 @@ func (c *Clock) ChargeAs(cat Category, n uint64) {
 	}
 }
 
-// Advance adds n cycles to the clock, attributed to the ambient category.
-//
-// Deprecated: Advance duplicated ChargeAmbient under a name that reads as
-// innocuous, which made silent mis-attribution easy to write. New code
-// (workloads and experiments included) must call ChargeAmbient — or
-// ChargeAs with an explicit category — instead; tools/metriclint rejects
-// in-repo Advance call sites outside this package. The symbol remains for
-// external compatibility only.
-func (c *Clock) Advance(n uint64) { c.ChargeAmbient(n) }
-
 // SetCategory sets the ambient attribution category and returns the
 // previous one, so a scope is one line to open and one deferred line to
 // close:

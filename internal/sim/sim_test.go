@@ -17,21 +17,6 @@ func TestClockChargeAmbient(t *testing.T) {
 	}
 }
 
-// TestClockAdvanceAlias pins the deprecated Advance to ChargeAmbient
-// semantics: same total, same ambient bucket. External callers still on
-// Advance must see no behavior change.
-func TestClockAdvanceAlias(t *testing.T) {
-	c := NewClock()
-	c.SetCategory(CatPaging)
-	c.Advance(5)
-	if got := c.Cycles(); got != 5 {
-		t.Fatalf("Cycles() = %d, want 5", got)
-	}
-	if got := c.Buckets()[CatPaging]; got != 5 {
-		t.Fatalf("ambient bucket = %d, want 5", got)
-	}
-}
-
 func TestClockSince(t *testing.T) {
 	c := NewClock()
 	c.ChargeAmbient(100)

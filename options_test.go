@@ -8,8 +8,7 @@ import (
 // TestOptionValidationRoundTrip pins the unified option-validation path:
 // every WithXxx option that can be handed a malformed value must surface it
 // at the first Spawn and Serve alike, as a *ConfigError naming the option
-// and matching errors.Is(err, ErrBadConfig). (The deprecated LoadApp entry
-// shares Spawn's gate; in-repo callers are gone and linted against.)
+// and matching errors.Is(err, ErrBadConfig).
 func TestOptionValidationRoundTrip(t *testing.T) {
 	img := AppImage{Name: "opt", Libraries: []Library{{Name: "libopt.so", Pages: 1}}, HeapPages: 4}
 	cfg := Config{SelfPaging: true, Policy: PolicyPinAll}

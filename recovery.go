@@ -99,7 +99,7 @@ func DefaultRetryPolicy() RetryPolicy { return hostos.DefaultRetryPolicy() }
 // injections. Recovery layers configured with WithRetryPolicy and
 // WithFallbackStore wrap the injector, exactly as they would wrap a real
 // misbehaving store. Invalid plans are reported as a *ConfigError from the
-// first Spawn or LoadApp.
+// first Spawn.
 func WithFaultPlan(plan FaultPlan) Option {
 	return func(c *machineConfig) { p := plan; c.faultPlan = &p }
 }

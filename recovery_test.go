@@ -1,6 +1,7 @@
 package autarky
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -274,7 +275,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	ma := NewMachine(WithEPCFrames(512))
 	pa, err := ma.Spawn(img, cfg)
 	if err != nil {
-		t.Fatalf("LoadApp (reference): %v", err)
+		t.Fatalf("spawn (reference): %v", err)
 	}
 	heapA := pa.Heap.PageVAs()
 	if err := pa.Run(step(heapA, totalRounds)); err != nil {
@@ -291,7 +292,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	mb := NewMachine(WithEPCFrames(512))
 	pb, err := mb.Spawn(img, cfg)
 	if err != nil {
-		t.Fatalf("LoadApp (crash): %v", err)
+		t.Fatalf("spawn (crash): %v", err)
 	}
 	heapB := pb.Heap.PageVAs()
 	if err := pb.Run(step(heapB, totalRounds/2)); err != nil {
@@ -337,5 +338,29 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 	if snap.Counter(CntRestoreCycles) == 0 {
 		t.Error("restore cost no cycles")
+	}
+}
+
+// TestCheckpointNoncesDistinctAcrossMachines: every machine built from the
+// default root secret derives the same checkpoint key, so the AES-GCM nonce
+// alone must keep their checkpoints apart. Two machines each taking their
+// first checkpoint must never seal under the same nonce — a repeat would
+// leak the XOR of the two plaintexts and the authentication key.
+func TestCheckpointNoncesDistinctAcrossMachines(t *testing.T) {
+	var nonces [2][]byte
+	for i := range nonces {
+		m := NewMachine(WithEPCFrames(256))
+		p, err := m.Spawn(testImage(4), Config{})
+		if err != nil {
+			t.Fatalf("Spawn: %v", err)
+		}
+		cp, err := p.Checkpoint()
+		if err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		nonces[i] = cp.Sealed[:12]
+	}
+	if bytes.Equal(nonces[0], nonces[1]) {
+		t.Fatalf("two machines sealed their first checkpoint under the same nonce %x", nonces[0])
 	}
 }

@@ -60,8 +60,7 @@ func WithQuantum(cycles uint64) Option {
 
 // Proc is a scheduled enclave process on a Machine: the libOS process plus
 // its seat in the machine's dispatch loop. Create one with Machine.Spawn;
-// its embedded *libos.Process exposes the regions and allocator exactly as
-// LoadApp's return value does.
+// its embedded *libos.Process exposes the regions and allocator.
 type Proc struct {
 	*libos.Process
 	m    *Machine
@@ -92,8 +91,7 @@ func spawnSlot(img AppImage) mmu.VAddr {
 	return mmu.VAddr(slots * spawnSlotBytes)
 }
 
-// ensureSched builds the machine's scheduler on first use, so machines that
-// only ever use the deprecated LoadApp path keep running without one.
+// ensureSched builds the machine's scheduler on first use.
 func (m *Machine) ensureSched() error {
 	if m.sched != nil {
 		return nil

@@ -1,72 +1,25 @@
-// Command metriclint enforces the cycle-attribution discipline described in
-// DESIGN.md: inside the instrumented simulation packages, no code may call
-// Clock.Advance directly. A naked Advance charges cycles to whatever category
-// happens to be ambient, which silently mis-attributes work; instrumented
-// code must instead use one of the attribution-aware entry points:
+// Command metriclint enforces the determinism discipline the golden tables
+// rely on: the packages whose behavior must be a pure function of the
+// simulated clock and their seeds may not import the wall clock ("time") or
+// the process PRNG ("math/rand"); either would break byte-identical replay
+// of a run at any -jobs.
 //
-//   - clock.ChargeAs(cat, n)    — a point charge to an explicit category
-//   - clock.ChargeAmbient(n)    — a deliberate, named charge to the ambient
-//     category (greppable, so reviewers can audit every such decision)
-//   - defer clock.SetCategory(clock.SetCategory(cat)) + ambient charges — a
-//     scoped category for a whole code region
-//
-// Workload and experiment code (internal/experiments, internal/workloads,
-// internal/sim itself) is exempt: there, Advance is the ambient-compute
-// charge by definition.
-//
-// internal/pagestore gets a narrower rule: the package as a whole is not
-// instrumented (the plain Store models free untrusted RAM and charges
-// nothing), but every PagingBackend implementation there must follow the
-// backend contract (see pagestore/backend.go) — so the Evict/Fetch/Drop and
-// batch method bodies, the paths every eviction and page-in runs through,
-// may not contain a naked Clock.Advance either.
-//
-// internal/fault gets both the instrumented rule and a determinism rule:
-// fault plans roll every injection from (seed, clock cycle, operation), so
-// the package may not import the wall clock ("time") or the process PRNG
-// ("math/rand"); either would break byte-identical replay of a chaos run.
-//
-// Facade-consuming code (the root package, cmd/, examples/ — tests
-// included) gets an API-deprecation rule: calls to deprecated facade entry
-// points (Machine.LoadApp) are rejected, keeping the repository itself on
-// the supported Spawn/Serve surface while the symbols remain for external
-// users.
-//
-// Clock.Advance is deprecated repository-wide: ChargeAmbient is the single
-// ambient charge entry point (see sim.Clock). Every package except
-// internal/sim itself — where the clock and its compatibility alias live —
-// is scanned, tests included, and any remaining Advance call site is
-// rejected with a pointer to the replacement.
+// Cycle attribution needs no lint rule: sim.Clock charges only through
+// ChargeAs (an explicit category), ChargeAmbient (a deliberate, greppable
+// charge to the ambient category) and SetCategory scopes, so the compiler
+// rejects any other charge.
 //
 // Exit status is non-zero if any violation is found. Run via `make check`.
 package main
 
 import (
 	"fmt"
-	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
-
-// instrumented lists the packages in which every cycle must be explicitly
-// attributed. Keep in sync with the Observability section of DESIGN.md.
-var instrumented = []string{
-	"internal/sgx",
-	"internal/mmu",
-	"internal/core",
-	"internal/hostos",
-	"internal/oram",
-	"internal/sched",
-	"internal/fault",
-	"internal/orderly",
-	"internal/service",
-	"internal/fleet",
-	"internal/chaos",
-}
 
 // deterministic lists the packages whose behavior must be a pure function
 // of the simulated clock and their seeds: fault plans roll injections from
@@ -94,131 +47,18 @@ var forbiddenImports = map[string]string{
 	"math/rand/v2": "process-global PRNG",
 }
 
-// deprecatedCalls maps deprecated facade entry points to their replacement.
-// Any in-repo call (tests and examples included) is rejected: the facade
-// keeps the symbols for external compatibility, but the repository itself
-// must exercise only the supported surface.
-var deprecatedCalls = map[string]string{
-	"LoadApp": "Machine.Spawn (or Machine.Serve for request servers)",
-}
-
-// facadeConsumerDirs lists every directory whose code consumes the public
-// facade: the root package, the commands, and the examples. internal/
-// packages sit beneath the facade and never see the deprecated symbols.
-func facadeConsumerDirs() []string {
-	dirs := []string{"."}
-	for _, pattern := range []string{"cmd/*", "examples/*"} {
-		matches, _ := filepath.Glob(pattern)
-		for _, m := range matches {
-			if fi, err := os.Stat(m); err == nil && fi.IsDir() {
-				dirs = append(dirs, m)
-			}
-		}
-	}
-	return dirs
-}
-
-// advanceExempt lists the directories the deprecated-Advance rule skips:
-// internal/sim defines Clock.Advance (and its tests pin the alias), so the
-// symbol necessarily appears there.
-var advanceExempt = map[string]bool{
-	"internal/sim": true,
-}
-
-// goPackageDirs walks the repository for directories containing Go files,
-// skipping VCS metadata and testdata fixtures.
-func goPackageDirs() []string {
-	seen := map[string]bool{}
-	var dirs []string
-	filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return nil
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == ".git" || name == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		if !seen[dir] {
-			seen[dir] = true
-			dirs = append(dirs, dir)
-		}
-		return nil
-	})
-	sort.Strings(dirs)
-	return dirs
-}
-
-// backendDir holds PagingBackend implementations; only the backend method
-// bodies are checked there (the rest of the package is uninstrumented).
-const backendDir = "internal/pagestore"
-
-// backendMethods is the PagingBackend interface surface: the eviction and
-// page-in paths every backend implementation runs through.
-var backendMethods = map[string]bool{
-	"Evict":      true,
-	"Fetch":      true,
-	"Drop":       true,
-	"EvictBatch": true,
-	"FetchBatch": true,
-}
-
-// parseDir loads a package directory, skipping tests.
-func parseDir(fset *token.FileSet, dir string) map[string]*ast.Package {
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "metriclint: %v\n", err)
-		os.Exit(2)
-	}
-	return pkgs
-}
-
-// findAdvance reports every .Advance call site under root.
-func findAdvance(fset *token.FileSet, root ast.Node, report func(pos token.Position)) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Advance" {
-			return true
-		}
-		report(fset.Position(call.Pos()))
-		return true
-	})
-}
-
 func main() {
 	violations := 0
-	for _, dir := range instrumented {
-		fset := token.NewFileSet()
-		for _, pkg := range parseDir(fset, dir) {
-			for name, file := range pkg.Files {
-				rel := filepath.ToSlash(name)
-				findAdvance(fset, file, func(pos token.Position) {
-					fmt.Fprintf(os.Stderr,
-						"%s:%d:%d: naked Clock.Advance in instrumented package; use ChargeAs, ChargeAmbient, or a SetCategory scope\n",
-						rel, pos.Line, pos.Column)
-					violations++
-				})
-			}
-		}
-	}
-
-	// Determinism rule: fault plans must draw every decision from the
-	// simulated clock and their seed, never from the host.
 	for _, dir := range deterministic {
 		fset := token.NewFileSet()
-		for _, pkg := range parseDir(fset, dir) {
+		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.ImportsOnly)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "metriclint: %v\n", err)
+			os.Exit(2)
+		}
+		for _, pkg := range pkgs {
 			for name, file := range pkg.Files {
 				rel := filepath.ToSlash(name)
 				for _, imp := range file.Imports {
@@ -234,96 +74,6 @@ func main() {
 			}
 		}
 	}
-
-	// Deprecation rule: facade-consuming code (root package, commands,
-	// examples — tests included) may not call deprecated entry points.
-	for _, dir := range facadeConsumerDirs() {
-		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, dir, nil, 0)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "metriclint: %v\n", err)
-			os.Exit(2)
-		}
-		for _, pkg := range pkgs {
-			for name, file := range pkg.Files {
-				rel := filepath.ToSlash(name)
-				ast.Inspect(file, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					if repl, bad := deprecatedCalls[sel.Sel.Name]; bad {
-						pos := fset.Position(call.Pos())
-						fmt.Fprintf(os.Stderr,
-							"%s:%d:%d: call to deprecated %s; use %s\n",
-							rel, pos.Line, pos.Column, sel.Sel.Name, repl)
-						violations++
-					}
-					return true
-				})
-			}
-		}
-	}
-
-	// Deprecation rule: Clock.Advance is a compatibility alias; everything
-	// outside internal/sim must charge through ChargeAmbient or ChargeAs.
-	// Instrumented packages are already rejected above with the stricter
-	// attribution message, so only their tests are scanned here.
-	instrumentedSet := map[string]bool{}
-	for _, dir := range instrumented {
-		instrumentedSet[dir] = true
-	}
-	for _, dir := range goPackageDirs() {
-		if advanceExempt[dir] {
-			continue
-		}
-		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, dir, nil, 0)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "metriclint: %v\n", err)
-			os.Exit(2)
-		}
-		for _, pkg := range pkgs {
-			for name, file := range pkg.Files {
-				rel := filepath.ToSlash(name)
-				if instrumentedSet[dir] && !strings.HasSuffix(name, "_test.go") {
-					continue
-				}
-				findAdvance(fset, file, func(pos token.Position) {
-					fmt.Fprintf(os.Stderr,
-						"%s:%d:%d: call to deprecated Clock.Advance; use ChargeAmbient (or ChargeAs with an explicit category)\n",
-						rel, pos.Line, pos.Column)
-					violations++
-				})
-			}
-		}
-	}
-
-	// PagingBackend rule: backend method bodies in internal/pagestore must
-	// attribute every cycle, even though the package as a whole is exempt.
-	fset := token.NewFileSet()
-	for _, pkg := range parseDir(fset, backendDir) {
-		for name, file := range pkg.Files {
-			rel := filepath.ToSlash(name)
-			for _, decl := range file.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Recv == nil || fn.Body == nil || !backendMethods[fn.Name.Name] {
-					continue
-				}
-				findAdvance(fset, fn.Body, func(pos token.Position) {
-					fmt.Fprintf(os.Stderr,
-						"%s:%d:%d: naked Clock.Advance in PagingBackend.%s; backends must charge via ChargeAs/ChargeAmbient/SetCategory (see pagestore/backend.go)\n",
-						rel, pos.Line, pos.Column, fn.Name.Name)
-					violations++
-				})
-			}
-		}
-	}
-
 	if violations > 0 {
 		fmt.Fprintf(os.Stderr, "metriclint: %d violation(s)\n", violations)
 		os.Exit(1)
