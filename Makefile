@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt metriclint apicheck chaos orderly serving migrate fuzz cover check bench gobench benchdiff
+.PHONY: all build test race vet fmt metriclint apicheck fuzz cover check bench gobench benchdiff
 
 all: build
 
@@ -11,9 +11,13 @@ test:
 	$(GO) test ./...
 
 # The determinism contract requires race-detector cleanliness: parallel
-# experiment cells must share no mutable state. The raised timeout covers
-# the full-scale E14 smoke run, which the race detector slows past go
-# test's 600s default.
+# experiment cells must share no mutable state. go test runs every table at
+# full scale on an 8-worker pool inside cmd/autarky-bench's TestGoldens,
+# which diffs each against its committed golden (testdata/*.golden,
+# testdata/goldens.sum); the raised timeout covers that package, which the
+# race detector slows past go test's 600s default. Regenerate the goldens
+# after an intentional model change with
+#   go test ./cmd/autarky-bench -run TestGoldens -update
 race:
 	$(GO) test -race -timeout 1800s ./...
 
@@ -69,64 +73,6 @@ metriclint:
 apicheck:
 	$(GO) test -run TestPublicAPISurfaceGolden .
 
-# chaos runs the E12 fault-injection sweep and the E16 fleet-chaos sweep at
-# two worker counts each and diffs all four against the committed golden
-# tables (testdata/e12_chaos.golden, testdata/e16_chaosfleet.golden) — the
-# repository-level proof that fault injection, machine failures, supervised
-# recovery and restore are byte-identical at any concurrency. Regenerate a
-# golden after an intentional change with:
-#   go run ./cmd/autarky-bench -exp chaos -jobs 1 > testdata/e12_chaos.golden
-#   go run ./cmd/autarky-bench -exp chaosfleet -jobs 1 > testdata/e16_chaosfleet.golden
-chaos: build
-	$(GO) run ./cmd/autarky-bench -exp chaos -jobs 1 > /tmp/e12_chaos.jobs1
-	$(GO) run ./cmd/autarky-bench -exp chaos -jobs 8 > /tmp/e12_chaos.jobs8
-	diff -u testdata/e12_chaos.golden /tmp/e12_chaos.jobs1
-	diff -u testdata/e12_chaos.golden /tmp/e12_chaos.jobs8
-	$(GO) run ./cmd/autarky-bench -exp chaosfleet -jobs 1 > /tmp/e16_chaosfleet.jobs1
-	$(GO) run ./cmd/autarky-bench -exp chaosfleet -jobs 8 > /tmp/e16_chaosfleet.jobs8
-	diff -u testdata/e16_chaosfleet.golden /tmp/e16_chaosfleet.jobs1
-	diff -u testdata/e16_chaosfleet.golden /tmp/e16_chaosfleet.jobs8
-	@echo "chaos tables match goldens at jobs=1 and jobs=8"
-
-# orderly runs the E13 model-checking exploration at two worker counts and
-# diffs both against the committed golden table — the repository-level proof
-# that the exhaustive interleaving enumeration (and its per-scenario trace
-# digests) is byte-identical at any concurrency. Regenerate after an
-# intentional spec or lifecycle change with:
-#   go run ./cmd/autarky-bench -exp orderliness -jobs 1 > testdata/e13_orderliness.golden
-orderly: build
-	$(GO) run ./cmd/autarky-bench -exp orderliness -jobs 1 > /tmp/e13_orderliness.jobs1
-	$(GO) run ./cmd/autarky-bench -exp orderliness -jobs 8 > /tmp/e13_orderliness.jobs8
-	diff -u testdata/e13_orderliness.golden /tmp/e13_orderliness.jobs1
-	diff -u testdata/e13_orderliness.golden /tmp/e13_orderliness.jobs8
-	@echo "orderliness table matches golden at jobs=1 and jobs=8"
-
-# serving runs the E14 open-loop serving sweep at two worker counts and
-# diffs both against the committed golden table — the repository-level proof
-# that the service frontend (arrival schedules, dispatch, per-request
-# histograms) is byte-identical at any concurrency. Regenerate after an
-# intentional protocol or cost-model change with:
-#   go run ./cmd/autarky-bench -exp serving -jobs 1 > testdata/e14_serving.golden
-serving: build
-	$(GO) run ./cmd/autarky-bench -exp serving -jobs 1 > /tmp/e14_serving.jobs1
-	$(GO) run ./cmd/autarky-bench -exp serving -jobs 8 > /tmp/e14_serving.jobs8
-	diff -u testdata/e14_serving.golden /tmp/e14_serving.jobs1
-	diff -u testdata/e14_serving.golden /tmp/e14_serving.jobs8
-	@echo "serving table matches golden at jobs=1 and jobs=8"
-
-# migrate runs the E15 live-migration sweep at two worker counts and diffs
-# both against the committed golden table — the repository-level proof that
-# the fleet (admission waves, migration handshakes, rebalancing and the
-# cross-machine cycle accounting) is byte-identical at any concurrency.
-# Regenerate after an intentional policy or cost-model change with:
-#   go run ./cmd/autarky-bench -exp migration -jobs 1 > testdata/e15_migration.golden
-migrate: build
-	$(GO) run ./cmd/autarky-bench -exp migration -jobs 1 > /tmp/e15_migration.jobs1
-	$(GO) run ./cmd/autarky-bench -exp migration -jobs 8 > /tmp/e15_migration.jobs8
-	diff -u testdata/e15_migration.golden /tmp/e15_migration.jobs1
-	diff -u testdata/e15_migration.golden /tmp/e15_migration.jobs8
-	@echo "migration table matches golden at jobs=1 and jobs=8"
-
 # fuzz gives the adversarial decode paths a quick shake: sealed-blob
 # authentication (pagestore), the one sealed-state decoder behind checkpoint
 # restore and migration adoption (libos), and the service channel's
@@ -155,7 +101,7 @@ cover:
 
 # check is the CI gate: formatting, static analysis, attribution lint,
 # API-surface freshness, build, the full test suite under the race
-# detector, the chaos, orderliness, serving and migration determinism
-# goldens, the coverage floors, and a short fuzz pass.
-check: fmt vet metriclint apicheck build race chaos orderly serving migrate cover fuzz
+# detector (every experiment table against its golden included), the
+# coverage floors, and a short fuzz pass.
+check: fmt vet metriclint apicheck build race cover fuzz
 	@echo "all checks passed"

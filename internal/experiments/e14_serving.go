@@ -233,6 +233,9 @@ func runE14Cell(rec *cellRecorder, p E14Params, pol e14Policy, quantum uint64, m
 	row := E14Row{Policy: pol.name, Quantum: quantum, Mech: mech.String()}
 	first := true
 	for _, srv := range servers {
+		if err := checkLedger(srv, p.Requests); err != nil {
+			panic(fmt.Sprintf("E14 ledger (%s/q%d/%s): %v", pol.name, quantum, mech, err))
+		}
 		st := srv.Stats()
 		row.Offered += st.Offered
 		row.Served += st.Served
@@ -288,4 +291,19 @@ func (r E14Result) Table() *Table {
 	}
 	t.Metrics = r.Metrics
 	return t
+}
+
+// checkLedger asserts a server's request ledger at cell end: its Stats
+// balance (service.Stats.Check), and every scheduled arrival either fired
+// or is still pending.
+func checkLedger(srv *service.Server, requests int) error {
+	st := srv.Stats()
+	if err := st.Check(); err != nil {
+		return fmt.Errorf("%s: %w", srv.Name(), err)
+	}
+	if pending := uint64(srv.PendingSchedule()); st.Offered+pending != uint64(requests) {
+		return fmt.Errorf("%s: offered %d + never fired %d != scheduled %d",
+			srv.Name(), st.Offered, pending, requests)
+	}
+	return nil
 }

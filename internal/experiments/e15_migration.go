@@ -250,6 +250,9 @@ func runE15Cell(rec *cellRecorder, p E15Params, pol fleet.Policy) E15Row {
 	row.Rebalances = st.Rebalances
 	row.Downtime = st.DowntimeCycles
 	for _, et := range tenants {
+		if err := checkLedger(et.srv, p.Requests); err != nil {
+			panic(fmt.Sprintf("E15 (%s): %v", pol.Name(), err))
+		}
 		s := et.srv.Stats()
 		row.Offered += s.Offered
 		row.Served += s.Served

@@ -215,6 +215,22 @@ func (s *Server) Process() *libos.Process { return s.proc }
 // Stats returns the server's traffic account so far.
 func (s *Server) Stats() Stats { return s.stats }
 
+// Check asserts the ledger the Stats comment states: every offered request
+// was admitted or refused with backpressure, and every admitted one settled
+// exactly one way. It holds once the server is idle — after Loop returns,
+// or after a Crash has booked the unsettled remainder as dropped.
+func (st Stats) Check() error {
+	if st.Offered != st.Admitted+st.Backpressure {
+		return fmt.Errorf("service: offered %d != admitted %d + backpressure %d",
+			st.Offered, st.Admitted, st.Backpressure)
+	}
+	if settled := st.Served + st.Errors + st.Timeouts + st.Dropped; st.Admitted != settled {
+		return fmt.Errorf("service: admitted %d != served %d + errors %d + timeouts %d + dropped %d",
+			st.Admitted, st.Served, st.Errors, st.Timeouts, st.Dropped)
+	}
+	return nil
+}
+
 // Hist returns the per-request latency histogram (sojourn cycles of every
 // successfully served request).
 func (s *Server) Hist() *metrics.Histogram { return s.hist }

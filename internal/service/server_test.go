@@ -280,3 +280,29 @@ func TestOptionValidation(t *testing.T) {
 		t.Fatalf("preload with no conns must fail")
 	}
 }
+
+func TestStatsCheckLedger(t *testing.T) {
+	balanced := Stats{Offered: 10, Admitted: 8, Backpressure: 2,
+		Served: 4, Errors: 1, Timeouts: 1, Dropped: 2, KeepAlives: 3, Resets: 1}
+	if err := balanced.Check(); err != nil {
+		t.Fatalf("balanced ledger rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		field string
+		bump  func(*Stats)
+	}{
+		{"Offered", func(s *Stats) { s.Offered++ }},
+		{"Admitted", func(s *Stats) { s.Admitted++ }},
+		{"Backpressure", func(s *Stats) { s.Backpressure++ }},
+		{"Served", func(s *Stats) { s.Served++ }},
+		{"Errors", func(s *Stats) { s.Errors++ }},
+		{"Timeouts", func(s *Stats) { s.Timeouts++ }},
+		{"Dropped", func(s *Stats) { s.Dropped++ }},
+	} {
+		st := balanced
+		tc.bump(&st)
+		if err := st.Check(); err == nil {
+			t.Errorf("ledger with %s off by one passed", tc.field)
+		}
+	}
+}
