@@ -55,11 +55,12 @@ benchdiff: build
 # gobench runs the Go micro-benchmarks (the old `make bench`): the
 # evaluation-table benchmarks in the root package plus the hot-path
 # micro-benchmarks (sealing, the plain store's evict/fetch cycle, the
-# rate-limited fault round trip, TLB-hit translation, cycle charging). The
+# rate-limited fault round trip, TLB-hit translation, cycle charging, one
+# served request, one latency sample). The
 # hot paths must report 0 allocs/op; the matching *ZeroAlloc tests gate
 # that in `make test`, so a regression fails CI rather than a bench diff.
 gobench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/core ./internal/libos ./internal/pagestore ./internal/sgx ./internal/sim
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/core ./internal/libos ./internal/metrics ./internal/pagestore ./internal/service ./internal/sgx ./internal/sim
 
 # metriclint rejects wall-clock and process-PRNG imports in the packages
 # whose behavior must be a pure function of the simulated clock and their

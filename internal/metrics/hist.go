@@ -1,44 +1,28 @@
 package metrics
 
-// Histogram is the per-request latency recorder of the service layer: a
-// fixed-bucket histogram whose buckets are exactly one cycle wide, so the
-// percentiles it reports at experiment end are *exact* — identical to what
-// a sorted slice of every recorded value would give — not interpolated
-// estimates from logarithmic buckets.
+import "slices"
+
+// Histogram is the per-request latency recorder of the service layer. It
+// keeps every recorded value in one flat slice, so the percentiles it
+// reports at experiment end are *exact* nearest-rank order statistics, not
+// interpolated estimates from buckets.
 //
-// One-cycle buckets over a multi-million-cycle range would be a huge dense
-// array, so counts live in a two-level radix: a fixed page-pointer table
-// over lazily allocated 4096-bucket pages. Recording into a page that
-// already exists touches one counter — no allocation, no branching beyond
-// the clamp — which keeps the dispatch hot path allocation-free in steady
-// state. Values at or beyond the configured maximum are clamped into the
-// final bucket and tallied separately (Saturated), so a misconfigured range
-// is visible instead of silently skewing the tail.
+// Every caller knows its sample count up front (an open-loop schedule's
+// length), so Grow reserves the slice once and Record is then one append:
+// no allocation on the dispatch hot path. Samples are stored as uint32,
+// which bounds the range at 2^32 cycles. The slice is sorted lazily, on the
+// first Percentile after a write. Values at or beyond the configured
+// maximum are clamped to max-1 and tallied separately (Saturated), so a
+// misconfigured range is visible instead of silently skewing the tail.
 //
 // Like every metrics structure, a Histogram belongs to one machine on one
 // goroutine; cross-cell aggregation merges immutable snapshots via Merge
 // after the cells finish.
-
-// histPageBits sets the radix page size: 2^12 = 4096 one-cycle buckets,
-// 16 KiB of uint32 counts per allocated page.
-const histPageBits = 12
-
-const histPageSize = 1 << histPageBits
-
-type histPage [histPageSize]uint32
-
-// Histogram records uint64 cycle values with exact percentile recovery.
-// The zero value is unusable; construct with NewHistogram.
 type Histogram struct {
-	max   uint64 // values >= max clamp into the last bucket
-	pages []*histPage
+	max     uint64   // values >= max clamp to max-1
+	samples []uint32 // every recorded value, clamped
+	sorted  bool     // samples is in ascending order
 
-	// pageCount mirrors the per-page sum of bucket counts, so percentile
-	// recovery can step over a whole page in one comparison instead of
-	// scanning its 4096 buckets.
-	pageCount []uint64
-
-	count     uint64
 	sum       uint64
 	min       uint64
 	maxSeen   uint64
@@ -46,53 +30,46 @@ type Histogram struct {
 }
 
 // NewHistogram returns a histogram covering [0, max) cycles exactly; values
-// at or beyond max are clamped and counted as saturated. max is rounded up
-// to a whole number of radix pages.
+// at or beyond max are clamped and counted as saturated. A max of 0 or
+// beyond 2^32 is taken as 2^32, the widest range a sample holds.
 func NewHistogram(max uint64) *Histogram {
-	if max == 0 {
-		max = histPageSize
+	if max == 0 || max > 1<<32 {
+		max = 1 << 32
 	}
-	npages := (max + histPageSize - 1) / histPageSize
-	return &Histogram{
-		max:       npages * histPageSize,
-		pages:     make([]*histPage, npages),
-		pageCount: make([]uint64, npages),
-	}
+	return &Histogram{max: max}
 }
 
+// Grow reserves room for n more samples, so the next n Records allocate
+// nothing.
+func (h *Histogram) Grow(n int) { h.samples = slices.Grow(h.samples, n) }
+
 // Record adds one value. Values at or beyond the histogram's range clamp
-// into the final bucket and bump the saturation counter.
+// to max-1 and bump the saturation counter.
 func (h *Histogram) Record(v uint64) {
-	if h.count == 0 || v < h.min {
+	if len(h.samples) == 0 || v < h.min {
 		h.min = v
 	}
 	if v > h.maxSeen {
 		h.maxSeen = v
 	}
-	h.count++
 	h.sum += v
 	if v >= h.max {
 		h.saturated++
 		v = h.max - 1
 	}
-	pg := h.pages[v>>histPageBits]
-	if pg == nil {
-		pg = new(histPage)
-		h.pages[v>>histPageBits] = pg
-	}
-	pg[v&(histPageSize-1)]++
-	h.pageCount[v>>histPageBits]++
+	h.samples = append(h.samples, uint32(v))
+	h.sorted = false
 }
 
 // Count reports how many values were recorded.
-func (h *Histogram) Count() uint64 { return h.count }
+func (h *Histogram) Count() uint64 { return uint64(len(h.samples)) }
 
 // Sum reports the sum of all recorded values (before clamping).
 func (h *Histogram) Sum() uint64 { return h.sum }
 
 // Min reports the smallest recorded value (0 when empty).
 func (h *Histogram) Min() uint64 {
-	if h.count == 0 {
+	if len(h.samples) == 0 {
 		return 0
 	}
 	return h.min
@@ -102,94 +79,61 @@ func (h *Histogram) Min() uint64 {
 func (h *Histogram) Max() uint64 { return h.maxSeen }
 
 // Saturated reports how many recorded values fell beyond the histogram's
-// range and were clamped into the final bucket.
+// range and were clamped.
 func (h *Histogram) Saturated() uint64 { return h.saturated }
 
 // Mean reports the arithmetic mean of recorded values (0 when empty).
 func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
+	if len(h.samples) == 0 {
 		return 0
 	}
-	return float64(h.sum) / float64(h.count)
+	return float64(h.sum) / float64(len(h.samples))
 }
 
 // Percentile returns the exact q-quantile (0 < q <= 1) by nearest rank: the
 // value at index ceil(q*n)-1 of the sorted sequence of recorded values.
-// Saturated values report max-1 (their clamped bucket). q <= 0 returns the
-// minimum recorded value; an empty histogram returns 0.
+// Saturated values report max-1 (their clamped value). q <= 0 returns the
+// minimum recorded value; an empty histogram returns 0. The first query
+// after a write sorts the samples in place, so Percentile is itself a write.
 func (h *Histogram) Percentile(q float64) uint64 {
-	if h.count == 0 {
+	n := uint64(len(h.samples))
+	if n == 0 {
 		return 0
+	}
+	if !h.sorted {
+		slices.Sort(h.samples)
+		h.sorted = true
 	}
 	rank := uint64(1)
 	if q > 0 {
-		r := q * float64(h.count)
+		r := q * float64(n)
 		rank = uint64(r)
 		if float64(rank) < r {
 			rank++
 		}
-		if rank < 1 {
-			rank = 1
-		}
-		if rank > h.count {
-			rank = h.count
-		}
+		rank = min(max(rank, 1), n)
 	}
-	var seen uint64
-	for pi, pg := range h.pages {
-		// Step over whole pages until the target rank falls inside one.
-		if n := h.pageCount[pi]; seen+n < rank {
-			seen += n
-			continue
-		}
-		if pg == nil {
-			continue
-		}
-		for bi, c := range pg {
-			if c == 0 {
-				continue
-			}
-			seen += uint64(c)
-			if seen >= rank {
-				return uint64(pi)<<histPageBits | uint64(bi)
-			}
-		}
-	}
-	// Unreachable: every recorded value lives in some bucket.
-	return h.max - 1
+	return uint64(h.samples[rank-1])
 }
 
-// Merge adds every bucket of o into h. The histograms must have the same
+// Merge adds every sample of o to h. The histograms must have the same
 // range; Merge panics otherwise (merging differently-clamped tails would
 // silently corrupt the percentiles).
 func (h *Histogram) Merge(o *Histogram) {
 	if h.max != o.max {
 		panic("metrics: merging histograms with different ranges")
 	}
-	if o.count == 0 {
+	if len(o.samples) == 0 {
 		return
 	}
-	if h.count == 0 || o.min < h.min {
+	if len(h.samples) == 0 || o.min < h.min {
 		h.min = o.min
 	}
 	if o.maxSeen > h.maxSeen {
 		h.maxSeen = o.maxSeen
 	}
-	h.count += o.count
 	h.sum += o.sum
 	h.saturated += o.saturated
-	for pi, opg := range o.pages {
-		if opg == nil {
-			continue
-		}
-		pg := h.pages[pi]
-		if pg == nil {
-			pg = new(histPage)
-			h.pages[pi] = pg
-		}
-		for bi, c := range opg {
-			pg[bi] += c
-		}
-		h.pageCount[pi] += o.pageCount[pi]
-	}
+	h.samples = append(h.samples, o.samples...)
+	h.sorted = false
 }

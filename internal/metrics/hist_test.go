@@ -9,7 +9,7 @@ import (
 
 // oraclePercentile is the definition the histogram must match exactly:
 // nearest-rank over the sorted values, with the histogram's clamping
-// applied first (values >= max live in the final bucket).
+// applied first (values >= max count as max-1).
 func oraclePercentile(values []uint64, max uint64, q float64) uint64 {
 	clamped := make([]uint64, len(values))
 	for i, v := range values {
@@ -38,12 +38,12 @@ func oraclePercentile(values []uint64, max uint64, q float64) uint64 {
 }
 
 // histRange is the range used by the adversarial distributions; small enough
-// that saturation actually happens, large enough to span many radix pages.
+// that saturation actually happens, large enough that the values spread.
 const histRange = 1 << 16
 
 // adversarialDistributions enumerates value sets chosen to break inexact
-// percentile schemes: point masses, page-boundary straddles, heavy tails,
-// saturation, and dense uniform noise.
+// percentile schemes: point masses, power-of-two boundary straddles, heavy
+// tails, saturation, and dense uniform noise.
 func adversarialDistributions() map[string][]uint64 {
 	r := sim.NewRand(0x415741)
 	uniform := make([]uint64, 10_000)
@@ -93,6 +93,50 @@ func TestHistogramPercentilesExactAgainstOracle(t *testing.T) {
 			}
 		}
 	}
+
+	// Queries between Records: each Record after a query must invalidate
+	// the sorted order, so every query sees every value recorded so far.
+	interleaved := NewHistogram(histRange)
+	var seen []uint64
+	for i := 0; i < 2_000; i++ {
+		v := r.Uint64n(histRange + histRange/16)
+		interleaved.Record(v)
+		seen = append(seen, v)
+		if i%37 != 0 {
+			continue
+		}
+		for _, q := range qs {
+			want := oraclePercentile(seen, histRange, q)
+			if got := interleaved.Percentile(q); got != want {
+				t.Fatalf("interleaved after %d records: Percentile(%v) = %d, oracle %d", i+1, q, got, want)
+			}
+		}
+	}
+
+	// A range that is not a power of two: values clamp at exactly 1000.
+	const odd = 1000
+	oddValues := make([]uint64, 3_000)
+	h := NewHistogram(odd)
+	var saturated uint64
+	for i := range oddValues {
+		oddValues[i] = r.Uint64n(odd + odd/4) // about a fifth saturate
+		h.Record(oddValues[i])
+		if oddValues[i] >= odd {
+			saturated++
+		}
+	}
+	if h.Saturated() != saturated || saturated == 0 {
+		t.Errorf("range %d: Saturated = %d, want %d (> 0)", odd, h.Saturated(), saturated)
+	}
+	if got := h.Percentile(1); got != odd-1 {
+		t.Errorf("range %d: Percentile(1) = %d, want the clamp %d", odd, got, odd-1)
+	}
+	for _, q := range qs {
+		want := oraclePercentile(oddValues, odd, q)
+		if got := h.Percentile(q); got != want {
+			t.Errorf("range %d: Percentile(%v) = %d, oracle %d", odd, q, got, want)
+		}
+	}
 }
 
 func TestHistogramAggregates(t *testing.T) {
@@ -139,14 +183,34 @@ func TestHistogramMergeMatchesCombinedOracle(t *testing.T) {
 			b.Record(v)
 		}
 	}
+	qs := []float64{0.01, 0.5, 0.99, 0.999}
+	// Query both halves first: a merge that follows a query must still
+	// see, and leave queryable, every sample of both.
+	for _, q := range qs {
+		a.Percentile(q)
+		b.Percentile(q)
+	}
 	a.Merge(b)
-	for _, q := range []float64{0.01, 0.5, 0.99, 0.999} {
+	for _, q := range qs {
 		if got, want := a.Percentile(q), oraclePercentile(all, histRange, q); got != want {
 			t.Errorf("merged Percentile(%v) = %d, oracle %d", q, got, want)
 		}
 	}
 	if a.Count() != uint64(len(all)) {
 		t.Errorf("merged Count = %d, want %d", a.Count(), len(all))
+	}
+	// Merging into a histogram that was just queried invalidates its order.
+	extra := NewHistogram(histRange)
+	for i := 0; i < 500; i++ {
+		v := r.Uint64n(histRange)
+		all = append(all, v)
+		extra.Record(v)
+	}
+	a.Merge(extra)
+	for _, q := range qs {
+		if got, want := a.Percentile(q), oraclePercentile(all, histRange, q); got != want {
+			t.Errorf("Percentile(%v) after a merge that follows a query = %d, oracle %d", q, got, want)
+		}
 	}
 	mergedEmpty := NewHistogram(histRange)
 	mergedEmpty.Merge(a)
@@ -159,4 +223,47 @@ func TestHistogramMergeMatchesCombinedOracle(t *testing.T) {
 		}
 	}()
 	a.Merge(NewHistogram(histRange * 2))
+}
+
+// TestHistogramRecordZeroAlloc: once Grow has reserved n samples, n Records
+// allocate nothing, which keeps the dispatch hot path allocation-free.
+func TestHistogramRecordZeroAlloc(t *testing.T) {
+	const n = 1_000
+	h := NewHistogram(histRange)
+	h.Grow(n)
+	var v uint64
+	// AllocsPerRun makes one warm-up call and one measured call, each
+	// recording half of the n reserved samples.
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n/2; i++ {
+			v = (v + 7919) % (histRange + 64) // a few saturate
+			h.Record(v)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d Records after Grow(%d) allocated %v times, want 0", n/2, n, allocs)
+	}
+	if h.Count() != n {
+		t.Fatalf("Count = %d, want %d", h.Count(), n)
+	}
+}
+
+// BenchmarkHistogramRecord measures one latency sample into reserved room,
+// the per-reply cost on the dispatch path. A fresh histogram is built every
+// 2^16 samples, untimed, which bounds the benchmark's memory.
+func BenchmarkHistogramRecord(b *testing.B) {
+	const round = 1 << 16
+	b.ReportAllocs()
+	var v uint64
+	for done := 0; done < b.N; done += round {
+		b.StopTimer()
+		h := NewHistogram(histRange)
+		n := min(round, b.N-done)
+		h.Grow(n)
+		b.StartTimer()
+		for i := 0; i < n; i++ {
+			v = (v + 7919) % (histRange + 64)
+			h.Record(v)
+		}
+	}
 }

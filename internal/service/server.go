@@ -25,7 +25,7 @@
 // The server's Loop runs as the enclave application body: it pumps due
 // open-loop arrivals into the connection queues, serves frames in admission
 // order, and records each successful reply's sojourn (reply cycle minus
-// arrival cycle) into an exact fixed-bucket histogram. When nothing is due
+// arrival cycle) as an exact sample in its histogram. When nothing is due
 // it charges a poll and — when the Idle hook is wired to the machine
 // scheduler — yields its slice, so co-resident tenants run instead of
 // watching one enclave busy-wait. Every cycle on the hot path is charged
@@ -70,9 +70,9 @@ type Options struct {
 	// would wait forever). Expiry aborts the connection: the client sees
 	// ErrConnReset. Default 1<<22 cycles.
 	CallTimeout uint64
-	// HistMax bounds the latency histogram's exact range in cycles; longer
-	// sojourns clamp into the last bucket and count as saturated.
-	// Default 1<<22 (~4.2M cycles).
+	// HistMax bounds the latency histogram's exact range in cycles, at
+	// most 1<<32; longer sojourns clamp to HistMax-1 and count as
+	// saturated. Default 1<<22 (~4.2M cycles).
 	HistMax uint64
 	// ChannelFaults rolls every frame delivery for in-transit faults.
 	// The zero plan is a perfect channel.
@@ -405,6 +405,9 @@ func (s *Server) Preload(ol OpenLoop) error {
 	}
 	r := sim.NewRand(ol.Seed)
 	s.schedule = make([]Frame, ol.Requests)
+	// Each request yields at most one latency sample: reserve them now, so
+	// recording never grows the histogram while the loop runs.
+	s.hist.Grow(ol.Requests)
 	at := s.clock.Cycles()
 	for i := 0; i < ol.Requests; i++ {
 		at += ol.Arrivals.NextGap(r)

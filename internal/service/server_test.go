@@ -16,7 +16,7 @@ import (
 
 // newTestProc wires a minimal machine and loads a pin-all enclave for
 // channel-level tests (paging pressure is the experiments' business).
-func newTestProc(t *testing.T) (*libos.Process, *sim.Clock) {
+func newTestProc(t testing.TB) (*libos.Process, *sim.Clock) {
 	t.Helper()
 	clock := sim.NewClock()
 	costs := sim.DefaultCosts()

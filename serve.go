@@ -35,8 +35,8 @@ type (
 	// Rand is the simulation's deterministic random stream (the type
 	// OpenLoop.NextReq receives).
 	Rand = sim.Rand
-	// Histogram is the exact fixed-bucket latency histogram behind
-	// Server.Latency (see Server.Hist).
+	// Histogram holds the exact latency samples behind Server.Latency
+	// (see Server.Hist).
 	Histogram = metrics.Histogram
 )
 
@@ -137,8 +137,8 @@ func WithChannelFaults(plan FaultPlan) ServeOption {
 }
 
 // WithLatencyRange bounds the exact range of the per-request latency
-// histogram in cycles (default 1<<22); longer sojourns clamp into the last
-// bucket and count as saturated.
+// histogram in cycles (default 1<<22, at most 1<<32); longer sojourns clamp
+// to max-1 and count as saturated.
 func WithLatencyRange(max uint64) ServeOption {
 	return func(c *serveConfig) { c.opts.HistMax = max }
 }
@@ -225,7 +225,7 @@ func (s *Server) Stats() ServiceStats { return s.svc.Stats() }
 func (s *Server) Hist() *Histogram { return s.svc.Hist() }
 
 // LatencyStats summarizes the per-request sojourn distribution: exact
-// nearest-rank percentiles over 1-cycle-wide buckets.
+// nearest-rank percentiles over every recorded sample.
 type LatencyStats struct {
 	Count     uint64  // served requests recorded
 	Mean      float64 // mean sojourn, cycles
